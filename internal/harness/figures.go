@@ -72,8 +72,9 @@ func (r *Runner) Fig1(ctx context.Context) ([]Fig1Row, error) {
 			req(spec.Name, r.opts.Scale, sim.HTMInfCap, sim.HintNone))
 	}
 
-	// The profiled runs carry a per-run observer and so cannot share the
-	// memoized grid; they ride the same worker pool concurrently with it.
+	// The profiled runs carry a per-run observer, so they are memoized apart
+	// from the grid (and never stored); they ride the same worker pool
+	// concurrently with it.
 	profs := make([]profile.Report, len(specs))
 	perrs := make([]error, len(specs))
 	var wg sync.WaitGroup

@@ -125,6 +125,7 @@ type Runner struct {
 	mu       sync.Mutex
 	mods     map[moduleKey]*flight[*ir.Module]
 	runs     map[Request]*flight[*sim.Result]
+	profs    map[Request]*flight[profiledRun]
 	prefixes map[string]*prefixFlight
 }
 
@@ -189,6 +190,7 @@ func NewRunner(opts Options) *Runner {
 		sem:      make(chan struct{}, workers),
 		mods:     make(map[moduleKey]*flight[*ir.Module]),
 		runs:     make(map[Request]*flight[*sim.Result]),
+		profs:    make(map[Request]*flight[profiledRun]),
 		prefixes: make(map[string]*prefixFlight),
 	}
 }

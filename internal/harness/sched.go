@@ -158,17 +158,54 @@ func (r *Runner) gather(ctx context.Context, reqs []Request) (map[Request]*sim.R
 	return out, err
 }
 
+// profiledRun is one memoized profiled simulation: its result and the
+// sharing profiler's report.
+type profiledRun struct {
+	res *sim.Result
+	rep profile.Report
+}
+
 // RunProfiled executes req with the sharing profiler attached and returns
-// the run's result alongside the profiler's report. Profiled runs are never
-// memoized (the profiler is a per-run observer) but they respect the worker
+// the run's result alongside the profiler's report. Like Run, each distinct
+// request simulates once per Runner: concurrent duplicates join the first
+// flight and later calls recall it. Profiled results never enter the store
+// (the report is not part of a stored result), and they respect the worker
 // pool like every other run.
-func (r *Runner) RunProfiled(ctx context.Context, req Request) (res *sim.Result, rep profile.Report, err error) {
+func (r *Runner) RunProfiled(ctx context.Context, req Request) (*sim.Result, profile.Report, error) {
+	req = req.normalize()
+	r.mu.Lock()
+	if f, ok := r.profs[req]; ok {
+		r.mu.Unlock()
+		select {
+		case <-f.done:
+			return f.val.res, f.val.rep, f.err
+		case <-ctx.Done():
+			return nil, profile.Report{}, ctx.Err()
+		}
+	}
+	f := &flight[profiledRun]{done: make(chan struct{})}
+	r.profs[req] = f
+	r.mu.Unlock()
+
+	f.val.res, f.val.rep, f.err = r.runProfiled(ctx, req)
+	if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+		// As in Run: the cancellation is this caller's, so a later call with
+		// a live context may retry.
+		r.mu.Lock()
+		delete(r.profs, req)
+		r.mu.Unlock()
+	}
+	close(f.done)
+	return f.val.res, f.val.rep, f.err
+}
+
+// runProfiled performs one profiled simulation under a worker-pool slot.
+func (r *Runner) runProfiled(ctx context.Context, req Request) (res *sim.Result, rep profile.Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &RequestError{Req: req, Err: &PanicError{Value: v, Stack: debug.Stack()}}
 		}
 	}()
-	req = req.normalize()
 	spec, err := workloads.ByName(req.Workload)
 	if err != nil {
 		return nil, profile.Report{}, err

@@ -190,3 +190,27 @@ func TestRunProfiledRespectsContext(t *testing.T) {
 		t.Fatalf("live profiled run: err=%v report=%+v", err, rep)
 	}
 }
+
+// TestFig1MemoizesProfiledRuns: profiled runs are single-flighted like
+// every other run, so a second Fig1 on the same Runner recalls the grid and
+// the profiler reports alike and simulates nothing.
+func TestFig1MemoizesProfiledRuns(t *testing.T) {
+	opts := QuickOptions()
+	opts.Filter = []string{"kmeans", "labyrinth"}
+	r := NewRunner(opts)
+	first, err := r.Fig1(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := r.Stats().SimRuns
+	second, err := r.Fig1(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().SimRuns; got != runs {
+		t.Fatalf("second Fig1 simulated %d runs, want 0", got-runs)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("recalled Fig1 differs:\n%+v\n%+v", first, second)
+	}
+}

@@ -8,10 +8,15 @@ import (
 )
 
 // The decoded-instruction step loop is the simulator's innermost loop; once
-// a thread is past its allocas, stepping must not allocate.
+// a thread is past its allocas, stepping must not allocate — neither one
+// instruction at a time (Step) nor in register-only blocks (StepBlock),
+// including the Call and Ret inside the loop, whose frames come from the
+// thread's pool.
 func TestStepLoopDoesNotAllocate(t *testing.T) {
 	b := ir.NewBuilder("m")
 	b.Global("acc", 1)
+	inc := b.Function("inc", 1)
+	inc.Ret(inc.AddI(inc.Param(0), 1))
 	f := b.Function("main", 0)
 	loop := f.NewBlock("loop")
 	done := f.NewBlock("done")
@@ -21,7 +26,7 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 	f.SetBlock(loop)
 	v := f.Load(g, 0)
 	f.Store(g, 0, f.AddI(v, 1))
-	f.MovTo(i, f.AddI(i, 1))
+	f.MovTo(i, f.Call("inc", i))
 	c := f.Cmp(ir.CmpLT, i, f.C(1_000_000))
 	f.CondBr(c, loop, done)
 	f.SetBlock(done)
@@ -44,6 +49,13 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("steady-state Step allocates %.2f per 50 steps", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 10; i++ {
+			p.StepBlock(env, th, 64)
+		}
+	}); n != 0 {
+		t.Errorf("steady-state StepBlock allocates %.2f per 10 blocks", n)
 	}
 	if th.Done {
 		t.Fatal("loop finished during the pin — iteration bound too low")

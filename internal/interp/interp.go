@@ -7,9 +7,14 @@
 // stack, and an abort restores it, resuming execution at the TxBegin so the
 // environment can re-decide retry/fallback policy.
 //
+// StepBlock is the one execution loop: it runs an instruction and then the
+// register-only instructions after it, up to the next interaction point, so
+// the environment schedules interactions rather than instructions; Step is
+// its one-instruction case.
+//
 // The hot loop is allocation-free: NewProgram pre-decodes every instruction
 // into a dense dispatch form (branch targets and callees resolved to
-// indices/pointers, no map lookups in Step), and frames, register files, and
+// indices/pointers, no map lookups in StepBlock), and frames, register files, and
 // checkpoints are pooled per thread so calls and Capture/Restore reuse
 // storage across transaction attempts.
 package interp
@@ -73,15 +78,33 @@ type Env interface {
 // Field use by op: aux is the target block (Br, CondBr — else target in
 // imm), the global slot (GlobalAddr), or the side-table index (Call,
 // Parallel). imm is the literal (Const), the byte offset (Load/Store), the
-// pre-scaled byte size (Alloca), or the else-block index (CondBr).
+// pre-scaled byte size (Alloca), or the else-block index (CondBr). env marks
+// an interaction point (see touchesEnv): StepBlock stops before one.
 type dinstr struct {
 	op        ir.Op
 	safe      bool
 	bin       ir.BinKind
 	pred      ir.CmpKind
+	env       bool
 	dst, a, b ir.Reg
 	aux       int32
 	imm       int64
+}
+
+// touchesEnv reports whether op is an interaction point: an op whose effect
+// goes through the Env to state other threads can observe (memory, the
+// heap allocator, transactions, thread forking). Every other op is
+// register-only — it reads and writes only the thread's own frames, PRNG
+// and private stack window — including Call and Ret, whose StackAlloc and
+// StackRelease move only the thread's own stack cursor.
+func touchesEnv(op ir.Op) bool {
+	switch op {
+	case ir.OpLoad, ir.OpStore, ir.OpMalloc, ir.OpFree,
+		ir.OpTxBegin, ir.OpTxEnd, ir.OpTxSuspend, ir.OpTxResume,
+		ir.OpParallel, ir.OpAbortHint:
+		return true
+	}
+	return false
 }
 
 // callSite is the cold payload of one OpCall instruction.
@@ -188,6 +211,7 @@ func NewProgram(m *ir.Module) (*Program, error) {
 					safe: in.Safe,
 					bin:  in.Bin,
 					pred: in.Pred,
+					env:  touchesEnv(in.Op),
 					dst:  in.Dst,
 					a:    in.A,
 					b:    in.B,
@@ -448,166 +472,187 @@ func (t *Thread) randBounded(bound int64) int64 {
 // thread stalled or aborted-and-rolled-back (no forward progress).
 // Stepping a Done thread is a no-op returning false.
 func (p *Program) Step(env Env, t *Thread) bool {
-	if t.Done {
-		return false
-	}
-	f := t.Frames[len(t.Frames)-1]
-	in := &f.code[f.PC]
-	if p.counts != nil {
-		p.counts[f.df.ids[f.Block][f.PC]]++
-	}
+	_, ok := p.StepBlock(env, t, 1)
+	return ok
+}
 
-	switch in.op {
-	case ir.OpConst:
-		f.Regs[in.dst] = in.imm
-		f.PC++
-	case ir.OpMov:
-		f.Regs[in.dst] = f.Regs[in.a]
-		f.PC++
-	case ir.OpBin:
-		// The common arithmetic kinds are open-coded: ir.EvalBin contains a
-		// panic and is not inlinable, and this is the hottest ALU path.
-		a, b := f.Regs[in.a], f.Regs[in.b]
-		switch in.bin {
-		case ir.BinAdd:
-			f.Regs[in.dst] = a + b
-		case ir.BinSub:
-			f.Regs[in.dst] = a - b
-		case ir.BinMul:
-			f.Regs[in.dst] = a * b
-		default:
-			f.Regs[in.dst] = ir.EvalBin(in.bin, a, b)
-		}
-		f.PC++
-	case ir.OpCmp:
-		if ir.EvalCmp(in.pred, f.Regs[in.a], f.Regs[in.b]) {
-			f.Regs[in.dst] = 1
-		} else {
-			f.Regs[in.dst] = 0
-		}
-		f.PC++
-	case ir.OpLoad:
-		v, ctrl := env.Load(t, mem.Addr(f.Regs[in.a]+in.imm), in.safe)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.Regs[in.dst] = v
-		f.PC++
-	case ir.OpStore:
-		ctrl := env.Store(t, mem.Addr(f.Regs[in.a]+in.imm), f.Regs[in.b], in.safe)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpAlloca:
-		// imm is pre-scaled to bytes by the decoder.
-		f.Regs[in.dst] = int64(f.StackBase) + in.imm
-		f.PC++
-	case ir.OpGlobalAddr:
-		if !p.globalsLaid {
-			panic(fmt.Sprintf("interp: global %v not laid out", f.Fn.Blocks[f.Block].Instrs[f.PC]))
-		}
-		f.Regs[in.dst] = int64(p.globalAddrs[in.aux])
-		f.PC++
-	case ir.OpMalloc:
-		f.Regs[in.dst] = int64(env.Malloc(t, f.Regs[in.a]))
-		f.PC++
-	case ir.OpFree:
-		env.Free(t, mem.Addr(f.Regs[in.a]), f.Regs[in.b])
-		f.PC++
-	case ir.OpCall:
-		cs := &f.df.calls[in.aux]
-		callee := cs.callee
-		base := env.StackAlloc(t, callee.fn.AllocaWords)
-		nf := t.takeFrame(callee.fn.NumRegs)
-		nf.Fn = callee.fn
-		nf.df = callee
-		nf.Block = 0
-		nf.PC = 0
-		nf.code = callee.blocks[0]
-		nf.StackBase = base
-		nf.RetReg = in.dst
-		for i, arg := range cs.args {
-			nf.Regs[callee.fn.Params[i]] = f.Regs[arg]
-		}
-		f.PC++ // caller resumes after the call
-		t.Frames = append(t.Frames, nf)
-	case ir.OpRet:
-		var ret int64
-		if in.a != ir.NoReg {
-			ret = f.Regs[in.a]
-		}
-		retReg := f.RetReg
-		env.StackRelease(t, f.StackBase)
-		t.Frames[len(t.Frames)-1] = nil
-		t.Frames = t.Frames[:len(t.Frames)-1]
-		t.releaseFrame(f)
-		if len(t.Frames) == 0 {
-			t.Done = true
-			return true
-		}
-		if retReg != ir.NoReg {
-			t.Frames[len(t.Frames)-1].Regs[retReg] = ret
-		}
-	case ir.OpBr:
-		f.Block = int(in.aux)
-		f.code = f.df.blocks[f.Block]
-		f.PC = 0
-	case ir.OpCondBr:
-		if f.Regs[in.a] != 0 {
-			f.Block = int(in.aux)
-		} else {
-			f.Block = int(in.imm) // else target rides in imm
-		}
-		f.code = f.df.blocks[f.Block]
-		f.PC = 0
-	case ir.OpTxBegin:
-		ctrl := env.TxBegin(t)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpTxEnd:
-		ctrl := env.TxEnd(t)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpTxSuspend:
-		if env.TxSuspend(t) != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpTxResume:
-		if env.TxResume(t) != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpParallel:
-		ps := &f.df.pars[in.aux]
-		if cap(t.parArgs) < len(ps.args) {
-			t.parArgs = make([]int64, len(ps.args))
-		}
-		args := t.parArgs[:len(ps.args)]
-		for i, a := range ps.args {
-			args[i] = f.Regs[a]
-		}
-		ctrl := env.Parallel(t, f.Regs[in.a], ps.sym, args)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpRand:
-		f.Regs[in.dst] = t.randBounded(f.Regs[in.a])
-		f.PC++
-	case ir.OpAbortHint:
-		ctrl := env.AbortHint(t, f.Regs[in.a])
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	default:
-		panic(fmt.Sprintf("interp: unhandled op in %s: %v", f.Fn.Name, f.Fn.Blocks[f.Block].Instrs[f.PC]))
+// StepBlock executes the instruction at t's PC, whatever it is, and then
+// keeps executing register-only instructions until budget instructions have
+// run, the thread finishes, or the next instruction is an interaction point
+// (touchesEnv), which stays unexecuted at the PC. It returns how many
+// instructions ran and whether the last one completed: a first instruction
+// that stalls or aborts ends the block with ok false. Env methods charge
+// their own costs; the per-instruction base cost is the caller's. Budget
+// must be at least 1. A Done thread executes nothing.
+func (p *Program) StepBlock(env Env, t *Thread, budget int64) (n int64, ok bool) {
+	if t.Done {
+		return 0, false
 	}
-	return true
+	for {
+		f := t.Frames[len(t.Frames)-1]
+		in := &f.code[f.PC]
+		if in.env && n > 0 {
+			return n, true
+		}
+		if p.counts != nil {
+			p.counts[f.df.ids[f.Block][f.PC]]++
+		}
+		n++
+
+		switch in.op {
+		case ir.OpConst:
+			f.Regs[in.dst] = in.imm
+			f.PC++
+		case ir.OpMov:
+			f.Regs[in.dst] = f.Regs[in.a]
+			f.PC++
+		case ir.OpBin:
+			// The common arithmetic kinds are open-coded: ir.EvalBin contains a
+			// panic and is not inlinable, and this is the hottest ALU path.
+			a, b := f.Regs[in.a], f.Regs[in.b]
+			switch in.bin {
+			case ir.BinAdd:
+				f.Regs[in.dst] = a + b
+			case ir.BinSub:
+				f.Regs[in.dst] = a - b
+			case ir.BinMul:
+				f.Regs[in.dst] = a * b
+			default:
+				f.Regs[in.dst] = ir.EvalBin(in.bin, a, b)
+			}
+			f.PC++
+		case ir.OpCmp:
+			if ir.EvalCmp(in.pred, f.Regs[in.a], f.Regs[in.b]) {
+				f.Regs[in.dst] = 1
+			} else {
+				f.Regs[in.dst] = 0
+			}
+			f.PC++
+		case ir.OpLoad:
+			v, ctrl := env.Load(t, mem.Addr(f.Regs[in.a]+in.imm), in.safe)
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			f.Regs[in.dst] = v
+			f.PC++
+		case ir.OpStore:
+			ctrl := env.Store(t, mem.Addr(f.Regs[in.a]+in.imm), f.Regs[in.b], in.safe)
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		case ir.OpAlloca:
+			// imm is pre-scaled to bytes by the decoder.
+			f.Regs[in.dst] = int64(f.StackBase) + in.imm
+			f.PC++
+		case ir.OpGlobalAddr:
+			if !p.globalsLaid {
+				panic(fmt.Sprintf("interp: global %v not laid out", f.Fn.Blocks[f.Block].Instrs[f.PC]))
+			}
+			f.Regs[in.dst] = int64(p.globalAddrs[in.aux])
+			f.PC++
+		case ir.OpMalloc:
+			f.Regs[in.dst] = int64(env.Malloc(t, f.Regs[in.a]))
+			f.PC++
+		case ir.OpFree:
+			env.Free(t, mem.Addr(f.Regs[in.a]), f.Regs[in.b])
+			f.PC++
+		case ir.OpCall:
+			cs := &f.df.calls[in.aux]
+			callee := cs.callee
+			base := env.StackAlloc(t, callee.fn.AllocaWords)
+			nf := t.takeFrame(callee.fn.NumRegs)
+			nf.Fn = callee.fn
+			nf.df = callee
+			nf.Block = 0
+			nf.PC = 0
+			nf.code = callee.blocks[0]
+			nf.StackBase = base
+			nf.RetReg = in.dst
+			for i, arg := range cs.args {
+				nf.Regs[callee.fn.Params[i]] = f.Regs[arg]
+			}
+			f.PC++ // caller resumes after the call
+			t.Frames = append(t.Frames, nf)
+		case ir.OpRet:
+			var ret int64
+			if in.a != ir.NoReg {
+				ret = f.Regs[in.a]
+			}
+			retReg := f.RetReg
+			env.StackRelease(t, f.StackBase)
+			t.Frames[len(t.Frames)-1] = nil
+			t.Frames = t.Frames[:len(t.Frames)-1]
+			t.releaseFrame(f)
+			if len(t.Frames) == 0 {
+				t.Done = true
+				return n, true
+			}
+			if retReg != ir.NoReg {
+				t.Frames[len(t.Frames)-1].Regs[retReg] = ret
+			}
+		case ir.OpBr:
+			f.Block = int(in.aux)
+			f.code = f.df.blocks[f.Block]
+			f.PC = 0
+		case ir.OpCondBr:
+			if f.Regs[in.a] != 0 {
+				f.Block = int(in.aux)
+			} else {
+				f.Block = int(in.imm) // else target rides in imm
+			}
+			f.code = f.df.blocks[f.Block]
+			f.PC = 0
+		case ir.OpTxBegin:
+			ctrl := env.TxBegin(t)
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		case ir.OpTxEnd:
+			ctrl := env.TxEnd(t)
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		case ir.OpTxSuspend:
+			if env.TxSuspend(t) != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		case ir.OpTxResume:
+			if env.TxResume(t) != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		case ir.OpParallel:
+			ps := &f.df.pars[in.aux]
+			if cap(t.parArgs) < len(ps.args) {
+				t.parArgs = make([]int64, len(ps.args))
+			}
+			args := t.parArgs[:len(ps.args)]
+			for i, a := range ps.args {
+				args[i] = f.Regs[a]
+			}
+			ctrl := env.Parallel(t, f.Regs[in.a], ps.sym, args)
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		case ir.OpRand:
+			f.Regs[in.dst] = t.randBounded(f.Regs[in.a])
+			f.PC++
+		case ir.OpAbortHint:
+			ctrl := env.AbortHint(t, f.Regs[in.a])
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			f.PC++
+		default:
+			panic(fmt.Sprintf("interp: unhandled op in %s: %v", f.Fn.Name, f.Fn.Blocks[f.Block].Instrs[f.PC]))
+		}
+		if n == budget {
+			return n, true
+		}
+	}
 }

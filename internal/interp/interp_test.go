@@ -363,3 +363,55 @@ func TestStepDoneThreadNoop(t *testing.T) {
 		t.Fatal("done thread has a current instruction")
 	}
 }
+
+// TestStepBlockStopsBeforeInteraction: a block runs its first instruction
+// whatever it is, then register-only instructions (Call and Ret included)
+// up to the budget, and leaves the next interaction point unexecuted.
+func TestStepBlockStopsBeforeInteraction(t *testing.T) {
+	b := ir.NewBuilder("m")
+	b.Global("g", 1)
+	id := b.Function("id", 1)
+	id.Ret(id.Param(0))
+	f := b.Function("main", 0)
+	g := f.GlobalAddr("g")      // 1
+	v := f.Call("id", f.C(5))   // 2 (Const), 3 (Call), 4 (callee Ret)
+	f.Store(g, 0, f.AddI(v, 1)) // 5 (Const), 6 (Bin), 7 (Store)
+	f.Store(g, 0, f.Load(g, 0)) // 8 (Load), 9 (Store)
+	f.RetVoid()                 // 10
+	p, err := NewProgram(b.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newPlainEnv(p)
+	th := p.NewThread(0, "main", nil, env.al.StackAlloc(0, 0), 1)
+
+	steps := []struct {
+		budget int64
+		n      int64
+		next   ir.Op
+	}{
+		{budget: 3, n: 3, next: ir.OpRet},     // budget ends the block inside the callee
+		{budget: 100, n: 3, next: ir.OpStore}, // Ret, Const, Bin; stops before the Store
+		{budget: 100, n: 1, next: ir.OpLoad},  // an interaction point runs only first
+		{budget: 1, n: 1, next: ir.OpStore},
+		{budget: 100, n: 2, next: ir.OpRet}, // Store then the final Ret finishes the thread
+	}
+	for i, s := range steps {
+		n, ok := p.StepBlock(env, th, s.budget)
+		if n != s.n || !ok {
+			t.Fatalf("block %d: ran %d (ok=%v), want %d", i, n, ok, s.n)
+		}
+		if op := th.NextOp(); op != s.next && !th.Done {
+			t.Fatalf("block %d: next op %v, want %v", i, op, s.next)
+		}
+	}
+	if !th.Done {
+		t.Fatal("thread not done after its final Ret")
+	}
+	if got := env.mem.ReadWord(p.GlobalAddr("g")); got != 6 {
+		t.Fatalf("g = %d, want 6", got)
+	}
+	if n, ok := p.StepBlock(env, th, 10); n != 0 || ok {
+		t.Fatalf("done thread ran %d (ok=%v)", n, ok)
+	}
+}

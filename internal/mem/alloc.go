@@ -74,8 +74,12 @@ func StackOwner(a Addr) int {
 type Allocator struct {
 	globalsNext Addr
 	heapNext    Addr
-	arenas      map[int]*arena
-	stackNext   map[int]Addr
+	// arenas and stackNext are indexed by thread id, which is dense (the
+	// simulator numbers workers 0..Contexts-1 and main Contexts), and grow
+	// on a thread's first use. A nil arena or a zero cursor means the
+	// thread has not allocated yet: no stack window starts at address 0.
+	arenas    []*arena
+	stackNext []Addr
 }
 
 type arena struct {
@@ -89,9 +93,20 @@ func NewAllocator() *Allocator {
 	return &Allocator{
 		globalsNext: GlobalsBase,
 		heapNext:    HeapBase,
-		arenas:      make(map[int]*arena),
-		stackNext:   make(map[int]Addr),
 	}
+}
+
+// arena returns thread tid's heap arena, creating it on first use.
+func (al *Allocator) arena(tid int) *arena {
+	if tid >= len(al.arenas) {
+		al.arenas = append(al.arenas, make([]*arena, tid+1-len(al.arenas))...)
+	}
+	ar := al.arenas[tid]
+	if ar == nil {
+		ar = &arena{free: make(map[int64][]Addr)}
+		al.arenas[tid] = ar
+	}
+	return ar
 }
 
 // AllocGlobal reserves size bytes (word-rounded) in the globals segment and
@@ -127,11 +142,7 @@ func (al *Allocator) Malloc(tid int, size int64) Addr {
 		al.heapNext += Addr((size + PageSize - 1) &^ (PageSize - 1))
 		return a
 	}
-	ar := al.arenas[tid]
-	if ar == nil {
-		ar = &arena{free: make(map[int64][]Addr)}
-		al.arenas[tid] = ar
-	}
+	ar := al.arena(tid)
 	if lst := ar.free[size]; len(lst) > 0 {
 		a := lst[len(lst)-1]
 		ar.free[size] = lst[:len(lst)-1]
@@ -160,43 +171,37 @@ func (al *Allocator) Free(tid int, a Addr, size int64) {
 	if size >= arenaChunk {
 		return // large blocks are not recycled
 	}
-	ar := al.arenas[tid]
-	if ar == nil {
-		ar = &arena{free: make(map[int64][]Addr)}
-		al.arenas[tid] = ar
-	}
+	ar := al.arena(tid)
 	ar.free[size] = append(ar.free[size], a)
 }
 
 // StackAlloc reserves size bytes on thread tid's stack and returns the base
 // address of the new frame region. Frames are released with StackRelease.
 func (al *Allocator) StackAlloc(tid int, size int64) Addr {
-	sp, ok := al.stackNext[tid]
-	if !ok {
-		sp = StackBase + Addr(uint64(tid)*StackStride)
-	}
-	a := sp
-	sp += Addr(roundWords(size))
+	a := al.StackTop(tid)
+	sp := a + Addr(roundWords(size))
 	if uint64(sp) >= uint64(StackBase)+uint64(tid+1)*StackStride {
 		panic(fmt.Sprintf("mem: stack overflow for thread %d", tid))
 	}
-	al.stackNext[tid] = sp
+	al.StackRelease(tid, sp)
 	return a
 }
 
 // StackRelease pops thread tid's stack back to base (a value previously
 // returned by StackAlloc).
 func (al *Allocator) StackRelease(tid int, base Addr) {
+	if tid >= len(al.stackNext) {
+		al.stackNext = append(al.stackNext, make([]Addr, tid+1-len(al.stackNext))...)
+	}
 	al.stackNext[tid] = base
 }
 
 // StackTop returns the current stack cursor for tid.
 func (al *Allocator) StackTop(tid int) Addr {
-	sp, ok := al.stackNext[tid]
-	if !ok {
-		sp = StackBase + Addr(uint64(tid)*StackStride)
+	if tid < len(al.stackNext) && al.stackNext[tid] != 0 {
+		return al.stackNext[tid]
 	}
-	return sp
+	return StackBase + Addr(uint64(tid)*StackStride)
 }
 
 // Clone returns an independent deep copy of the allocator: segment cursors,
@@ -207,18 +212,18 @@ func (al *Allocator) Clone() *Allocator {
 	c := &Allocator{
 		globalsNext: al.globalsNext,
 		heapNext:    al.heapNext,
-		arenas:      make(map[int]*arena, len(al.arenas)),
-		stackNext:   make(map[int]Addr, len(al.stackNext)),
+		arenas:      make([]*arena, len(al.arenas)),
+		stackNext:   append([]Addr(nil), al.stackNext...),
 	}
 	for tid, ar := range al.arenas {
+		if ar == nil {
+			continue
+		}
 		na := &arena{next: ar.next, end: ar.end, free: make(map[int64][]Addr, len(ar.free))}
 		for size, lst := range ar.free {
 			na.free[size] = append([]Addr(nil), lst...)
 		}
 		c.arenas[tid] = na
-	}
-	for tid, sp := range al.stackNext {
-		c.stackNext[tid] = sp
 	}
 	return c
 }

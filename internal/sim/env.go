@@ -238,8 +238,7 @@ func (m *Machine) pageModeTransition(c *hwContext, out vmem.Outcome) (selfAborte
 		m.tracer.Instant(c.id, c.cycle, obs.EvPageTransition, tr.Page)
 	}
 	for _, s := range tr.Slaves {
-		m.ctxs[s].cycle += m.vm.SlaveCost()
-		m.syncEff(m.ctxs[s])
+		m.charge(m.ctxs[s], m.vm.SlaveCost())
 		cost += m.vm.SlaveCost()
 		if m.tracer != nil {
 			m.tracer.Instant(s, m.ctxs[s].cycle, obs.EvTLBShootdown, tr.Page)

@@ -40,6 +40,12 @@ type hwContext struct {
 	// or -1 outside a parallel region; abortTx and shootdown charges use it
 	// to keep the packed clock cache in sync.
 	runIdx int32
+	// runStart and runSteps record the part of the context's last
+	// register-only run that still lies ahead of the scheduler's current
+	// moment: its j-th instruction is the pick (runStart+j, id) of
+	// one-instruction stepping, and cycle == runStart+runSteps while
+	// runSteps > 0. settle advances the record; see DESIGN.md §19.
+	runStart, runSteps int64
 	// txActive mirrors ctrl.Active() so snoop loops can skip idle contexts
 	// with one field load; maintained at TxBegin/commit/abort.
 	txActive bool
@@ -123,7 +129,7 @@ type Machine struct {
 	// runnable holds the worker contexts whose thread has not finished, in
 	// context id order (so the min-cycle tie-break stays "lowest id", exactly
 	// as a full scan over ctxs would pick). effCache mirrors each runnable
-	// context's effectiveCycle in one dense array, so the per-step min-scan
+	// context's effectiveCycle in one dense array, so the per-pick min-scan
 	// reads one cache line instead of chasing every context; every site that
 	// moves another context's clock calls syncEff. Maintained by Parallel
 	// and stepWorkers; empty outside a parallel region.
@@ -133,9 +139,18 @@ type Machine struct {
 	fallbackHolder *hwContext
 	res            *Result
 	profiler       Profiler
-	// stepCap is Run's effective MaxSteps; stepWorkers consults it so that
-	// batched stepping stops exactly where the single-step loop would.
+	// stepCap is Run's effective MaxSteps; stepThread bounds run-ahead by it
+	// so that Result.Steps never passes the cap.
 	stepCap int64
+	// strict limits every pick to one instruction (no run-ahead). Fault
+	// campaigns, tracing and instruction profiling need it: they key on
+	// per-step counts or clocks. Equivalence tests set it to compare runs.
+	strict bool
+	// nowClock and nowID are the key (effective clock, context id) of the
+	// pick being executed: every effect of its instruction takes place at
+	// that moment, and settle places run-ahead contexts relative to it.
+	nowClock int64
+	nowID    int
 
 	// tracer is the observability sink (nil = tracing disabled); nextSample
 	// is the cycle the next counter sample is due at. sampling caches
@@ -196,8 +211,12 @@ func (m *Machine) notifyTx(tid int, ev TxEventKind, reason htm.AbortReason) {
 func (m *Machine) SetProfiler(p Profiler) { m.profiler = p }
 
 // EnableProfile turns on per-instruction execution counting (call before
-// Run); HotInstructions reports the results.
-func (m *Machine) EnableProfile() { m.prog.EnableProfile() }
+// Run); HotInstructions reports the results. Profiled runs step one
+// instruction per pick, so the counts never include discarded run-ahead.
+func (m *Machine) EnableProfile() {
+	m.prog.EnableProfile()
+	m.strict = true
+}
 
 // HotInstr is one row of the execution-count profile.
 type HotInstr struct {
@@ -279,6 +298,7 @@ func New(cfg Config, mod *ir.Module) (*Machine, error) {
 		vm:       vmem.New(cfg.Contexts(), cfg.TLBEntries, cfg.VM, cfg.Hints.Dynamic()),
 		byThread: make([]*hwContext, cfg.Contexts()+1),
 		res:      newResult(),
+		strict:   cfg.Faults.Enabled() || cfg.Tracer != nil,
 	}
 	for i := 0; i < cfg.Contexts(); i++ {
 		ctrl := htm.NewController(m.newTracker())
@@ -401,11 +421,13 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	return m.res, nil
 }
 
-// stepWorkers advances runnable worker contexts, always stepping the one
-// with the smallest clock (ties to the lowest context id). It runs until the
-// next guard-grid boundary (or the step cap, or the region's barrier), so
-// Run's periodic checks fire at exactly the steps they would under
-// single-stepping while the scheduler stays out of the per-step call path.
+// stepWorkers advances runnable worker contexts, always picking the one
+// with the smallest effective clock (ties to the lowest context id). Each
+// pick executes one instruction and the register-only run behind it
+// (stepThread), so picks happen once per interaction, not per instruction.
+// It runs until the next guard-grid boundary (or the step cap, or the
+// region's barrier), so Run's periodic checks fire on the same step grid
+// as one-instruction stepping.
 func (m *Machine) stepWorkers() {
 	for {
 		if len(m.runnable) == 0 {
@@ -425,61 +447,25 @@ func (m *Machine) stepWorkers() {
 		}
 		pickIdx := 0
 		best := m.effCache[0]
-		// best2 is the runner-up clock: every other runnable context sits at
-		// or above it, and clocks only move forward, so pick stays the unique
-		// minimum for as long as it remains strictly below best2.
-		best2 := int64(1<<63 - 1)
 		for i := 1; i < len(m.effCache); i++ {
 			if e := m.effCache[i]; e < best {
-				pickIdx, best2, best = i, best, e
-			} else if e < best2 {
-				best2 = e
+				pickIdx, best = i, e
 			}
 		}
-		for {
-			pick := m.runnable[pickIdx]
-			m.stepThread(pick, pick.thread)
-			e := pick.effectiveCycle()
-			m.effCache[pickIdx] = e
-			// Keep stepping pick while it is provably still the scheduler's
-			// choice.
-			for !pick.thread.Done &&
-				m.res.Steps&guardMask != 0 &&
-				m.res.Steps < m.stepCap &&
-				e < best2 {
-				m.stepThread(pick, pick.thread)
-				e = pick.effectiveCycle()
-				m.effCache[pickIdx] = e
+		pick := m.runnable[pickIdx]
+		m.stepThread(pick, pick.thread)
+		if pick.thread.Done {
+			// A finished thread cannot be aborted, and a later slave
+			// charge only adds to its clock: its run is complete.
+			pick.runSteps = 0
+			pick.runIdx = -1
+			m.runnable = append(m.runnable[:pickIdx], m.runnable[pickIdx+1:]...)
+			m.effCache = append(m.effCache[:pickIdx], m.effCache[pickIdx+1:]...)
+			for i := pickIdx; i < len(m.runnable); i++ {
+				m.runnable[i].runIdx = int32(i)
 			}
-			if pick.thread.Done {
-				pick.runIdx = -1
-				m.runnable = append(m.runnable[:pickIdx], m.runnable[pickIdx+1:]...)
-				m.effCache = append(m.effCache[:pickIdx], m.effCache[pickIdx+1:]...)
-				for i := pickIdx; i < len(m.runnable); i++ {
-					m.runnable[i].runIdx = int32(i)
-				}
-				break
-			}
-			if m.res.Steps&guardMask == 0 || m.res.Steps >= m.stepCap {
-				return
-			}
-			// Tie continuation: every entry left of pickIdx exceeded best at
-			// scan time, pick just moved past it, and clocks never move
-			// backwards — so the next entry still equal to best (lockstep
-			// workloads keep whole tie groups at one clock) is the lowest-id
-			// minimum, i.e. exactly the context a fresh scan would choose.
-			if best2 != best {
-				break // no entry can equal best: all others sit at >= best2
-			}
-			j := pickIdx + 1
-			for j < len(m.effCache) && m.effCache[j] != best {
-				j++
-			}
-			if j == len(m.effCache) {
-				break // tie group exhausted: full rescan
-			}
-			pickIdx = j
-			best2 = best // a tied peer exists, so no batch for this pick
+		} else {
+			m.effCache[pickIdx] = pick.effectiveCycle()
 		}
 		if m.res.Steps&guardMask == 0 || m.res.Steps >= m.stepCap {
 			return
@@ -495,16 +481,62 @@ func (m *Machine) syncEff(c *hwContext) {
 	}
 }
 
+// stepThread executes one pick of context c: the instruction at t's PC,
+// then — unless the machine is strict — the register-only instructions up
+// to t's next interaction point, the next guard-grid boundary or the step
+// cap. Those run ahead of the scheduler's moment, one cycle each; the
+// context records them as its run so a remote abort or slave charge can
+// settle its clock exactly (DESIGN.md §19).
 func (m *Machine) stepThread(c *hwContext, t *interp.Thread) {
 	if c.backoffUntil > c.cycle {
 		c.cycle = c.backoffUntil
 	}
-	m.prog.Step(m, t)
+	m.nowClock, m.nowID = c.cycle, c.id
+	c.runSteps = 0 // a picked context's previous run is all in the past
+	budget := int64(1)
+	if !m.strict {
+		budget = guardMask + 1 - m.res.Steps&guardMask
+		if left := m.stepCap - m.res.Steps; left < budget {
+			budget = left
+		}
+	}
+	n, _ := m.prog.StepBlock(m, t, budget)
 	c.cycle++ // base instruction cost
 	m.res.Steps++
+	if n > 1 {
+		c.runStart, c.runSteps = c.cycle, n-1
+		c.cycle += n - 1
+		m.res.Steps += n - 1
+	}
 	if m.sampling && c.cycle >= m.nextSample {
 		m.sample(c.cycle)
 	}
+}
+
+// settle places run-ahead context c at the current moment: the
+// instructions of its run whose pick key (runStart+j, c.id) precedes the
+// acting pick's (nowClock, nowID) have happened; the rest still lie ahead.
+func (m *Machine) settle(c *hwContext) {
+	if c.runSteps == 0 {
+		return
+	}
+	s := m.nowClock - c.runStart
+	if c.id < m.nowID {
+		s++
+	}
+	s = max(0, min(s, c.runSteps))
+	c.runStart += s
+	c.runSteps -= s
+}
+
+// charge adds n cycles to context c's clock on behalf of the acting pick (a
+// TLB-shootdown slave cost). The part of c's run still ahead executes n
+// cycles later, exactly as it would after a one-instruction-step charge.
+func (m *Machine) charge(c *hwContext, n int64) {
+	m.settle(c)
+	c.cycle += n
+	c.runStart += n
+	m.syncEff(c)
 }
 
 // sample emits one periodic counter snapshot and schedules the next one on
@@ -544,6 +576,15 @@ func (m *Machine) ctxOf(t *interp.Thread) *hwContext {
 // the undo log, the thread rolls back to its TxBegin checkpoint, statistics
 // and the retry policy are updated.
 func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
+	// A run-ahead victim's run lies inside this transaction: what it has not
+	// executed yet at this moment never happens, and Restore below discards
+	// the architectural work of the rest.
+	m.settle(c)
+	if c.runSteps > 0 {
+		c.cycle -= c.runSteps
+		m.res.Steps -= c.runSteps
+		c.runSteps = 0
+	}
 	// The span must be captured before Abort() resets the tracker: set sizes
 	// and the footprint are the attempt's state at the moment of death.
 	var span obs.TxAttempt
