@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff prefix-smoke trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
+.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
 
 all: test
 
@@ -20,18 +20,19 @@ vet:
 # harness determinism tests double as the parallel-scheduler correctness
 # suite, and the server/fleet/loadgen packages exercise the admission
 # control and NDJSON stream ratchet under concurrent submissions. The
-# prefix twin-grid golden makes the harness package heavy under -race, so
-# the per-package timeout is raised: concurrent packages on a starved
-# single-CPU runner must wait it out, not flake.
+# slowest packages (sim ~93 s, harness ~70 s under -race with GOMAXPROCS=1)
+# stay well inside go test's default 10-minute per-package timeout.
 race:
-	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
+	$(GO) test -race ./internal/harness/... ./internal/sim/... \
 		./internal/server/... ./internal/fleet/... ./internal/loadgen/... \
 		./internal/chaos/... ./internal/cli/... ./internal/hyp/...
 
-# fuzz-short gives the classifier-soundness fuzzer a 10-second native-fuzzing
-# budget — enough for CI to catch regressions the seeded corpus misses.
+# fuzz-short gives each native fuzzer a 10-second budget — enough for CI
+# to catch regressions the seeded corpus misses: classifier soundness, and
+# the TIR parser's print/parse/print fixed point.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/ir
 
 # The full verification artifacts the repository ships with.
 artifacts:
@@ -57,10 +58,8 @@ bench:
 
 # bench-smoke runs every benchmark exactly once with -benchmem, plus the
 # zero-allocation pin tests (testing.AllocsPerRun over the step loop, tracker
-# probe/insert, TLB hit, checkpoint capture/restore, and the snapshot-fork
-# paths: fork cost stays O(live state) and the resumed step loop stays
-# alloc-free) — the CI gate that the benchmark harness still works and the
-# hot paths stay alloc-free.
+# probe/insert, TLB hit, checkpoint capture/restore) — the CI gate that the
+# benchmark harness still works and the hot paths stay alloc-free.
 bench-smoke:
 	$(GO) test -run='Alloc' -bench=. -benchtime=1x -benchmem ./...
 
@@ -78,13 +77,6 @@ bench-diff:
 	$(GO) run ./cmd/hintm-bench -scale small -large small -results .bench-current.json all > /dev/null
 	$(GO) run ./cmd/hintm-bench benchdiff BENCH_baseline.json .bench-current.json
 	rm -f .bench-current.json
-
-# prefix-smoke runs the full small-scale figure grid twice — warm-up prefix
-# sharing off, then on — and asserts the two stores are byte-identical,
-# object file for object file, and that the shared pass actually forked a
-# minimum number of runs from snapshots (MIN_SHARED, default 50).
-prefix-smoke:
-	./scripts/prefix-smoke.sh
 
 # serve-smoke boots hintm-served against a temp store, submits the same
 # seeded run twice over HTTP, and asserts the second is a store hit with a

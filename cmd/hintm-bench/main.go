@@ -24,9 +24,6 @@
 //	-store DIR                  recall/persist every run in a content-addressed
 //	                            result store (warm-cache figure regeneration;
 //	                            shared with hintm-served)
-//	-prefix-share BOOL          share each grid group's warm-up prefix via
-//	                            snapshot/fork (default true; results stay
-//	                            byte-identical either way)
 //	-tolerance F                relative tolerance for the benchdiff target
 //	                            (default 0.05)
 //	-min-wall S                 shortest baseline wall time the benchdiff
@@ -98,8 +95,8 @@ func main() {
 		before := r.Stats()
 		err = render(ctx, os.Stdout)
 		// Every run gets the production breakdown, not just "all": a
-		// single-figure render shows its own cold/store-hit/prefix-forked
-		// split the same way.
+		// single-figure render shows its own cold/store-hit split the same
+		// way.
 		if ctx.Err() == nil {
 			r.RenderRunSummary(os.Stdout, target, r.Stats().Sub(before))
 		}

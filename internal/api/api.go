@@ -8,20 +8,13 @@
 // unrecognized one is rejected rather than misread), and errors are a
 // typed envelope — {code, message, detail} — instead of prose, so clients
 // branch on Code and humans read Message.
-//
-// v1 compatibility: the v1 surface (plain {"error": "..."} bodies) is
-// still reachable by sending `X-Hintm-Api: hintm-api/v1`; such responses
-// carry a Deprecation header. New clients should not use it.
 package api
 
 import "fmt"
 
 // Schema versions the wire format. It appears on every v2 response body
 // and in the X-Hintm-Api response header.
-const (
-	Schema   = "hintm-api/v2"
-	SchemaV1 = "hintm-api/v1"
-)
+const Schema = "hintm-api/v2"
 
 // Header is the API version header. Servers set it on every response;
 // clients may set it on requests to pin a version (unknown values are

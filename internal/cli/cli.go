@@ -47,12 +47,11 @@ type HarnessFlags struct {
 	maxCycles    *int64
 	traceDir     *string
 	sampleCycles *int64
-	prefixShare  *bool
 }
 
 // RegisterHarness registers the shared scheduler flags (-scale, -large,
 // -workloads, -seed, -workers, -faults, -watchdog, -max-cycles,
-// -trace-dir, -sample-cycles, -prefix-share) on fs.
+// -trace-dir, -sample-cycles) on fs.
 func RegisterHarness(fs *flag.FlagSet) *HarnessFlags {
 	h := &HarnessFlags{}
 	h.scale = fs.String("scale", "medium", "input scale for requests and P8 figures: small|medium|large")
@@ -65,7 +64,6 @@ func RegisterHarness(fs *flag.FlagSet) *HarnessFlags {
 	h.maxCycles = fs.Int64("max-cycles", 0, "hard cap on each run's simulated cycles (0 = none)")
 	h.traceDir = fs.String("trace-dir", "", "write per-run Chrome traces and abort autopsies into this directory")
 	h.sampleCycles = fs.Int64("sample-cycles", 0, "counter-sample period for traced runs (0 = 10000-cycle default)")
-	h.prefixShare = fs.Bool("prefix-share", true, "share each grid group's warm-up prefix via snapshot/fork (results stay byte-identical)")
 	return h
 }
 
@@ -91,7 +89,6 @@ func (h *HarnessFlags) Options() (harness.Options, error) {
 	opts.MaxCycles = *h.maxCycles
 	opts.TraceDir = *h.traceDir
 	opts.SampleCycles = *h.sampleCycles
-	opts.NoPrefixShare = !*h.prefixShare
 	return opts, nil
 }
 

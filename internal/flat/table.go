@@ -135,20 +135,6 @@ func (t *Tab[V]) Reset() {
 	t.N = 0
 }
 
-// Clone returns an independent deep copy of the table: fresh backing
-// arrays, identical live contents, identical probe layout (so iteration
-// orders over Keys/Vals match the original exactly — the property the
-// snapshot/fork subsystem's byte-identity guarantee rests on). Values are
-// copied by assignment; pointer-valued tables must deep-copy their values
-// themselves.
-func (t *Tab[V]) Clone() Tab[V] {
-	c := *t
-	c.Keys = append([]uint64(nil), t.Keys...)
-	c.Vals = append([]V(nil), t.Vals...)
-	c.Gens = append([]uint32(nil), t.Gens...)
-	return c
-}
-
 // grow doubles the table, rehashing live entries.
 func (t *Tab[V]) grow() {
 	oldKeys, oldVals, oldGens, oldGen := t.Keys, t.Vals, t.Gens, t.Gen

@@ -51,12 +51,7 @@ func ReadBenchResults(r io.Reader) (*BenchResults, error) {
 	if err := json.NewDecoder(r).Decode(&b); err != nil {
 		return nil, fmt.Errorf("bench results: %w", err)
 	}
-	// Older baselines stay readable: the v2 additions (per-figure wall time,
-	// simulated-cycle throughput) and the v3 production breakdown decode as
-	// zero and every check skips zero baselines.
-	switch b.Schema {
-	case BenchResultsSchema, benchResultsSchemaV2, benchResultsSchemaV1:
-	default:
+	if b.Schema != BenchResultsSchema {
 		return nil, fmt.Errorf("bench results: schema %q, want %q (re-run hintm-bench to regenerate)",
 			b.Schema, BenchResultsSchema)
 	}
@@ -115,25 +110,13 @@ func DiffBenchResultsOpts(base, cur *BenchResults, o DiffOptions) []string {
 	// Wall time is noisy (shared CI boxes, cold caches), so it gets a much
 	// wider gate than the deterministic headline metrics: flag only when the
 	// run slowed beyond wallTolerance(tolerance) — a real perf regression,
-	// not scheduler jitter. v1 baselines carry no per-figure wall times
-	// (zero) and store-hit figures run in microseconds, so only baselines
-	// above minWall are gated.
+	// not scheduler jitter. Store-hit figures run in microseconds, so only
+	// baselines above minWall are gated.
 	wallTol := wallTolerance(tolerance)
 	if base.WallSeconds >= minWall && cur.WallSeconds > base.WallSeconds*(1+wallTol) {
 		out = append(out, fmt.Sprintf("  wallSeconds %.2f -> %.2f (+%.0f%%, tolerance %.0f%%)",
 			base.WallSeconds, cur.WallSeconds,
 			(cur.WallSeconds/base.WallSeconds-1)*100, wallTol*100))
-	}
-
-	// Prefix sharing losing effectiveness is a perf regression even when the
-	// wall gate (deliberately wide) misses it: if the baseline shared
-	// prefixes and the current run simulated cold work yet shared nothing,
-	// the grouping broke. A current run with zero cold runs (fully
-	// store-warm) legitimately shares nothing and is not flagged; v1/v2
-	// baselines carry no breakdown (zero) and skip the gate.
-	if base.PrefixShared > 0 && cur.PrefixShared == 0 && cur.ColdRuns > 0 {
-		out = append(out, fmt.Sprintf("  prefixShared %d -> 0 with %d cold runs (warm-up sharing stopped working)",
-			base.PrefixShared, cur.ColdRuns))
 	}
 
 	figs := make([]string, 0, len(base.Figures))

@@ -8,17 +8,9 @@ import (
 )
 
 // BenchResultsSchema versions the BENCH_results.json layout; bump it when a
-// field changes meaning so downstream tooling can detect stale files.
-// v2 added per-figure wall time and whole-run simulated-cycle throughput;
-// v3 added the run-production breakdown (cold / store-hit / prefix-forked
-// counts and fork time) per figure and for the whole run. Older files
-// remain readable (the added fields decode as zero and the diff checks
-// skip them).
-const (
-	BenchResultsSchema   = "hintm-bench-results/v3"
-	benchResultsSchemaV2 = "hintm-bench-results/v2"
-	benchResultsSchemaV1 = "hintm-bench-results/v1"
-)
+// field changes meaning so downstream tooling can detect stale files. Only
+// the current schema is readable.
+const BenchResultsSchema = "hintm-bench-results/v4"
 
 // FigureHeadline is one figure's machine-readable summary: the headline
 // aggregate numbers a regression checker or dashboard wants, without the
@@ -30,27 +22,21 @@ type FigureHeadline struct {
 	Rows   int `json:"rows"`
 	Failed int `json:"failed"`
 
-	// WallSeconds is this figure's wall-clock production time (v2). When the
+	// WallSeconds is this figure's wall-clock production time. When the
 	// summary runs after the figures rendered, the memoized scheduler recalls
 	// every run and this measures a cheap reduction; standalone, it measures
 	// the figure's real simulation cost. Measurement metadata only — never
 	// part of the deterministic result bytes.
 	WallSeconds float64 `json:"wallSeconds,omitempty"`
 
-	// v3 production breakdown: how this figure's simulations were obtained
-	// while it rendered — full cold runs, content-addressed store recalls,
-	// and prefix-forked resumes — plus the wall time spent forking
-	// snapshots. Like WallSeconds these are deltas over the figure's span
-	// (≈0 when an earlier figure already ran the cells; shared runs
-	// attribute to the first figure that needed them) and are measurement
-	// metadata, never part of the deterministic result bytes.
-	ColdRuns     uint64  `json:"coldRuns,omitempty"`
-	StoreHits    uint64  `json:"storeHits,omitempty"`
-	PrefixShared uint64  `json:"prefixShared,omitempty"`
-	ForkSeconds  float64 `json:"forkSeconds,omitempty"`
-	// SharedCycles is the simulated-cycle total this figure's forked runs
-	// inherited from snapshots instead of re-executing.
-	SharedCycles uint64 `json:"sharedCycles,omitempty"`
+	// Production breakdown: how this figure's simulations were obtained
+	// while it rendered — cold runs or content-addressed store recalls.
+	// Like WallSeconds these are deltas over the figure's span (≈0 when an
+	// earlier figure already ran the cells; shared runs attribute to the
+	// first figure that needed them) and are measurement metadata, never
+	// part of the deterministic result bytes.
+	ColdRuns  uint64 `json:"coldRuns,omitempty"`
+	StoreHits uint64 `json:"storeHits,omitempty"`
 
 	// GeomeanSpeedup is the HinTM-full speedup geomean over the figure's
 	// baseline HTM; GeomeanSpeedupInf the InfCap upper bound.
@@ -82,25 +68,18 @@ type BenchResults struct {
 	// WallSeconds is the whole run's wall-clock time; the caller stamps it
 	// (the harness itself avoids wall-clock reads for determinism).
 	WallSeconds float64 `json:"wallSeconds"`
-	// SimCycles is the total simulated cycles this process actually executed
-	// (store recalls contribute nothing); SimCyclesPerSec divides it by
-	// WallSeconds — the v2 throughput headline the perf CI watches.
+	// SimCycles is the total simulated cycles this process executed: every
+	// executed run contributes its full clock, store recalls contribute
+	// nothing. SimCyclesPerSec divides it by WallSeconds — the throughput
+	// headline the perf CI watches.
 	SimCycles       uint64  `json:"simCycles,omitempty"`
 	SimCyclesPerSec float64 `json:"simCyclesPerSec,omitempty"`
 
-	// Whole-run production breakdown (v3): runner-global totals over every
+	// Whole-run production breakdown: runner-global totals over every
 	// simulation this process performed — always meaningful even when
-	// figures share runs, and the counters bench-diff gates sharing on.
-	ColdRuns     uint64  `json:"coldRuns,omitempty"`
-	StoreHits    uint64  `json:"storeHits,omitempty"`
-	PrefixShared uint64  `json:"prefixShared,omitempty"`
-	ForkSeconds  float64 `json:"forkSeconds,omitempty"`
-	// SharedCycles is the simulated-cycle total forked runs inherited from
-	// snapshots rather than re-executing: a cold scheduler would have
-	// simulated SimCycles + SharedCycles - (each shared warm-up, which
-	// SimCycles already counts once) — the sharing win on the
-	// simulated-work axis.
-	SharedCycles uint64 `json:"sharedCycles,omitempty"`
+	// figures share runs.
+	ColdRuns  uint64 `json:"coldRuns,omitempty"`
+	StoreHits uint64 `json:"storeHits,omitempty"`
 
 	// Figures maps figure name → headline metrics.
 	Figures map[string]*FigureHeadline `json:"figures"`
@@ -233,11 +212,8 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 	}
 	out.SimCycles = r.simCycles.Load()
 	st := r.Stats()
-	out.ColdRuns = st.ColdRuns()
+	out.ColdRuns = st.SimRuns
 	out.StoreHits = st.StoreHits
-	out.PrefixShared = st.ForkedRuns
-	out.ForkSeconds = st.ForkSeconds
-	out.SharedCycles = st.SharedCycles
 	return out, nil
 }
 
@@ -246,11 +222,8 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 func (h *FigureHeadline) stamp(figStart time.Time, before, after RunStats) {
 	h.WallSeconds = time.Since(figStart).Seconds()
 	d := after.Sub(before)
-	h.ColdRuns = d.ColdRuns()
+	h.ColdRuns = d.SimRuns
 	h.StoreHits = d.StoreHits
-	h.PrefixShared = d.ForkedRuns
-	h.ForkSeconds = d.ForkSeconds
-	h.SharedCycles = d.SharedCycles
 }
 
 // note records a figure failure; it reports whether the figure must be

@@ -57,11 +57,14 @@ func TestBenchResultsSchemaField(t *testing.T) {
 		t.Errorf("emitted schema field = %s", raw["schema"])
 	}
 
-	// A wrong schema is rejected with a regeneration hint, not misparsed.
-	bad := strings.Replace(sb.String(), BenchResultsSchema, "hintm-bench-results/v0", 1)
-	if _, err := ReadBenchResults(strings.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "schema") {
-		t.Errorf("stale schema accepted: %v", err)
+	// A wrong or superseded schema is rejected with a regeneration hint,
+	// not misparsed.
+	for _, stale := range []string{"hintm-bench-results/v0", "hintm-bench-results/v3"} {
+		bad := strings.Replace(sb.String(), BenchResultsSchema, stale, 1)
+		if _, err := ReadBenchResults(strings.NewReader(bad)); err == nil ||
+			!strings.Contains(err.Error(), "schema") {
+			t.Errorf("stale schema %s accepted: %v", stale, err)
+		}
 	}
 }
 
@@ -159,30 +162,6 @@ func TestDiffBenchResultsRespectsTolerance(t *testing.T) {
 	}
 }
 
-// A v1 baseline (no wall times, no cycle throughput) must stay readable, so
-// committed baselines survive the schema bump.
-func TestReadBenchResultsAcceptsV1(t *testing.T) {
-	v1 := `{"schema":"hintm-bench-results/v1","scale":"small","largeScale":"small",` +
-		`"seed":1,"wallSeconds":2.5,"figures":{"fig4":{"rows":5,"failed":0,"geomeanSpeedup":1.5}}}`
-	b, err := ReadBenchResults(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 baseline rejected: %v", err)
-	}
-	if b.Figures["fig4"].GeomeanSpeedup != 1.5 {
-		t.Errorf("v1 metrics lost: %+v", b.Figures["fig4"])
-	}
-	// And it diffs cleanly against a v2 current run: the v2-only fields are
-	// zero in the baseline, so their checks are skipped.
-	cur := baseSummary()
-	cur.Figures["fig4"] = b.Figures["fig4"]
-	cur.Figures["fig4"].WallSeconds = 9.9
-	delete(cur.Figures, "fig7")
-	b.Scale, b.LargeScale = "small", "small"
-	if regs := DiffBenchResults(b, cur, 0.05); len(regs) != 0 {
-		t.Errorf("v1-vs-v2 diff flagged v2-only fields: %v", regs)
-	}
-}
-
 func TestDiffBenchResultsFlagsWallTimeRegression(t *testing.T) {
 	base := baseSummary()
 	base.WallSeconds = 10
@@ -257,53 +236,5 @@ func TestDiffOptionsMinWallSeconds(t *testing.T) {
 	base.WallSeconds, cur.WallSeconds = 0.02, 10
 	if regs := DiffBenchResults(base, cur, 0.05); len(regs) != 0 {
 		t.Errorf("DiffBenchResults changed its floor: %v", regs)
-	}
-}
-
-// A v2 baseline (wall times + throughput, no production breakdown) must
-// stay readable after the v3 bump, and its zero breakdown fields must skip
-// the prefix-sharing gate.
-func TestReadBenchResultsAcceptsV2(t *testing.T) {
-	v2 := `{"schema":"hintm-bench-results/v2","scale":"small","largeScale":"small",` +
-		`"seed":1,"wallSeconds":2.5,"simCycles":100,` +
-		`"figures":{"fig4":{"rows":5,"failed":0,"wallSeconds":1.5,"geomeanSpeedup":1.5}}}`
-	b, err := ReadBenchResults(strings.NewReader(v2))
-	if err != nil {
-		t.Fatalf("v2 baseline rejected: %v", err)
-	}
-	if b.Figures["fig4"].WallSeconds != 1.5 {
-		t.Errorf("v2 metrics lost: %+v", b.Figures["fig4"])
-	}
-	cur := baseSummary()
-	cur.ColdRuns = 50 // cold work with no sharing — fine against a v2 baseline
-	if regs := DiffBenchResultsOpts(b, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("v2-vs-v3 diff flagged v3-only fields: %v", regs)
-	}
-}
-
-func TestDiffBenchResultsFlagsLostPrefixSharing(t *testing.T) {
-	base := baseSummary()
-	base.ColdRuns, base.PrefixShared = 10, 40
-
-	// Sharing stopped while cold work remained: regression.
-	cur := baseSummary()
-	cur.ColdRuns, cur.PrefixShared = 50, 0
-	regs := strings.Join(DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: 0.05}), "\n")
-	if !strings.Contains(regs, "prefixShared") {
-		t.Errorf("lost sharing not flagged: %v", regs)
-	}
-
-	// A fully store-warm run (zero cold runs) legitimately shares nothing.
-	cur.ColdRuns, cur.PrefixShared = 0, 0
-	cur.StoreHits = 50
-	if regs := DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("store-warm run flagged: %v", regs)
-	}
-
-	// Sharing still active: clean.
-	cur.ColdRuns, cur.PrefixShared = 10, 40
-	cur.StoreHits = 0
-	if regs := DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("healthy sharing flagged: %v", regs)
 	}
 }

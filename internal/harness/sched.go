@@ -121,10 +121,6 @@ func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
 // RequestError per distinct failure — so callers both get the partial
 // results and learn exactly which requests died.
 func (r *Runner) RunAll(ctx context.Context, reqs []Request) ([]*sim.Result, error) {
-	// Group the grid by shared warm-up prefix before anything runs, so
-	// sibling cells fork one captured snapshot instead of re-simulating
-	// their common setup (see prefix.go).
-	r.planPrefixes(reqs)
 	out := make([]*sim.Result, len(reqs))
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
@@ -269,7 +265,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (res *sim.Result, err
 	if finish, err = r.attachTrace(&cfg, req); err != nil {
 		return nil, err
 	}
-	m, prefixCycles, err := r.machineFor(ctx, spec, req, mod, cfg)
+	m, err := sim.New(cfg, mod)
 	if err != nil {
 		return nil, err
 	}
@@ -277,9 +273,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (res *sim.Result, err
 	r.noteExec()
 	res, err = m.Run(ctx)
 	if res != nil {
-		// A forked run's prefix cycles were executed (and counted) once by
-		// the shared warm-up; only the suffix was simulated here.
-		r.simCycles.Add(uint64(res.Cycles - prefixCycles))
+		r.simCycles.Add(uint64(res.Cycles))
 	}
 	return res, err
 }

@@ -401,8 +401,10 @@ func TestStepBlockStopsBeforeInteraction(t *testing.T) {
 		if n != s.n || !ok {
 			t.Fatalf("block %d: ran %d (ok=%v), want %d", i, n, ok, s.n)
 		}
-		if op := th.NextOp(); op != s.next && !th.Done {
-			t.Fatalf("block %d: next op %v, want %v", i, op, s.next)
+		if !th.Done {
+			if op := th.CurrentInstr().Op; op != s.next {
+				t.Fatalf("block %d: next op %v, want %v", i, op, s.next)
+			}
 		}
 	}
 	if !th.Done {

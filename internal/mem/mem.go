@@ -130,22 +130,6 @@ func (m *Memory) WriteWord(a Addr, v int64) {
 // pages written at least once.
 func (m *Memory) TouchedPages() int { return m.idx.N }
 
-// Clone returns an independent deep copy of the memory: the page index and
-// every touched page's backing storage are copied, so writes through either
-// memory never reach the other. Cost is O(touched pages). The original may
-// be read concurrently by other Clone calls but must not be written during
-// a clone.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{idx: m.idx.Clone()}
-	for i, g := range c.idx.Gens {
-		if g == c.idx.Gen && c.idx.Vals[i] != nil {
-			p := *c.idx.Vals[i]
-			c.idx.Vals[i] = &p
-		}
-	}
-	return c
-}
-
 func wordIndex(a Addr) int {
 	return int(uint64(a)%PageSize) / WordSize
 }

@@ -27,9 +27,10 @@ type MetricDef struct {
 // Declared metric family names. Grouped by owning subsystem.
 const (
 	// Scheduler (internal/harness).
-	MetricSimRuns      = "runner_sim_runs_total"
-	MetricInflight     = "runner_inflight"
-	MetricPrefixRuns   = "runner_prefix_runs_total"
+	MetricSimRuns  = "runner_sim_runs_total"
+	MetricInflight = "runner_inflight"
+	// MetricPrefixForked is always 0 and is not exported on /metrics; read
+	// only by perfbench, removed with the next benchmark change.
 	MetricPrefixForked = "runner_prefix_forked_total"
 
 	// Content-addressed result store (internal/store, internal/harness).
@@ -90,8 +91,6 @@ const (
 var defs = []MetricDef{
 	{MetricSimRuns, TypeCounter, "Simulations actually executed (cold paths only; warm paths never increment this)."},
 	{MetricInflight, TypeGauge, "Simulations currently executing on the scheduler's worker pool."},
-	{MetricPrefixRuns, TypeCounter, "Shared warm-up prefixes simulated once on behalf of a sibling group."},
-	{MetricPrefixForked, TypeCounter, "Simulations resumed from a forked prefix snapshot instead of running cold."},
 
 	{MetricStorePuts, TypeCounter, "Results persisted into the content-addressed store."},
 	{MetricStorePutErrors, TypeCounter, "Failed store writes (result still served from memory)."},

@@ -56,31 +56,33 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestV1CompatShim: a client pinning hintm-api/v1 gets the old
-// {"error": "..."} body plus a Deprecation header.
+// TestV1CompatShim: the hintm-api/v1 error shape is retired. A client
+// pinning v1 gets the ordinary v2 envelope for an unsupported version, with
+// the v2 version header and no Deprecation header.
 func TestV1CompatShim(t *testing.T) {
 	_, ts, _ := newTestServer(t, t.TempDir())
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/runs", strings.NewReader(`{"workload":"no-such"}`))
-	req.Header.Set(api.Header, api.SchemaV1)
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/runs", strings.NewReader(labyrinthSmall))
+	req.Header.Set(api.Header, "hintm-api/v1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("v1 response missing Deprecation header")
+	if got := resp.Header.Get("Deprecation"); got != "" {
+		t.Errorf("Deprecation = %q, want none", got)
 	}
-	if got := resp.Header.Get(api.Header); got != api.SchemaV1 {
-		t.Errorf("%s = %q, want %q", api.Header, got, api.SchemaV1)
+	if got := resp.Header.Get(api.Header); got != api.Schema {
+		t.Errorf("%s = %q, want %q", api.Header, got, api.Schema)
 	}
-	var v1 struct {
-		Error string `json:"error"`
+	var env api.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Schema != api.Schema || env.Error == nil {
+		t.Fatalf("body not the v2 envelope: %v / %+v", err, env)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&v1); err != nil || v1.Error == "" {
-		t.Errorf("v1 body not the legacy shape: %v / %+v", err, v1)
+	if env.Error.Code != api.CodeBadRequest || !strings.Contains(env.Error.Message, "unsupported "+api.Header) {
+		t.Errorf("error %+v, want %s unsupported %s", env.Error, api.CodeBadRequest, api.Header)
 	}
 }
 

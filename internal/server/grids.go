@@ -34,39 +34,39 @@ func (s *Server) handleGrids(w http.ResponseWriter, r *http.Request) {
 	}
 	var body api.GridRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
+		s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
 		return
 	}
 	if e := checkSchema(body.Schema); e != nil {
-		s.writeError(w, r, http.StatusBadRequest, e)
+		s.writeError(w, http.StatusBadRequest, e)
 		return
 	}
 	if len(body.Requests) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "empty grid: requests is required"))
+		s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "empty grid: requests is required"))
 		return
 	}
 	if len(body.Requests) > MaxGridRuns {
 		e := api.Errorf(api.CodeBadRequest, "grid of %d runs exceeds the %d-run limit", len(body.Requests), MaxGridRuns)
 		e.Detail = "split the submission"
-		s.writeError(w, r, http.StatusBadRequest, e)
+		s.writeError(w, http.StatusBadRequest, e)
 		return
 	}
 	reqs, perr := s.parseAll(body.Requests)
 	if perr != nil {
-		s.writeError(w, r, http.StatusBadRequest, perr)
+		s.writeError(w, http.StatusBadRequest, perr)
 		return
 	}
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		s.writeError(w, r, http.StatusServiceUnavailable,
+		s.writeError(w, http.StatusServiceUnavailable,
 			api.Errorf(api.CodeDraining, "server is draining; no new work accepted"))
 		return
 	}
 	admitBegin := time.Now()
 	if !s.admit(len(reqs)) {
-		s.throttle(w, r, len(reqs))
+		s.throttle(w, len(reqs))
 		return
 	}
 	admitWait := time.Since(admitBegin)

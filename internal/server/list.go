@@ -34,7 +34,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	var f store.Filter
 	if wl := q.Get("workload"); wl != "" {
 		if _, err := workloads.ByName(wl); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad workload filter: %v", err))
+			s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad workload filter: %v", err))
 			return
 		}
 		f.Workload = wl
@@ -42,7 +42,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if h := q.Get("htm"); h != "" {
 		kind, err := sim.ParseHTMKind(h)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad htm filter: %v", err))
+			s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad htm filter: %v", err))
 			return
 		}
 		f.HTM = kind.String()
@@ -51,7 +51,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if lv := q.Get("limit"); lv != "" {
 		n, err := strconv.Atoi(lv)
 		if err != nil || n <= 0 {
-			s.writeError(w, r, http.StatusBadRequest,
+			s.writeError(w, http.StatusBadRequest,
 				api.Errorf(api.CodeBadRequest, "bad limit %q: want a positive integer", lv))
 			return
 		}
@@ -61,7 +61,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if av := q.Get("after"); av != "" {
 		n, err := strconv.ParseUint(av, 10, 64)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest,
+			s.writeError(w, http.StatusBadRequest,
 				api.Errorf(api.CodeBadRequest, "bad after cursor %q: want a sequence number", av))
 			return
 		}

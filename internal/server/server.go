@@ -21,8 +21,7 @@
 //
 // Wire format: hintm-api/v2 (see internal/api). Every response carries the
 // schema in its body and the X-Hintm-Api header; errors are typed
-// {code, message, detail} envelopes. Clients pinning the deprecated v1
-// error shape may send `X-Hintm-Api: hintm-api/v1`.
+// {code, message, detail} envelopes.
 //
 // Byte-identity: GET /v1/runs/{key} responds with the store's raw object
 // bytes verbatim, and fleet replication (PutRaw) moves those bytes
@@ -521,11 +520,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	var body api.RunsRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
+		s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
 		return
 	}
 	if e := checkSchema(body.Schema); e != nil {
-		s.writeError(w, r, http.StatusBadRequest, e)
+		s.writeError(w, http.StatusBadRequest, e)
 		return
 	}
 	specs := body.Requests
@@ -534,12 +533,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs, perr := s.parseAll(specs)
 	if perr != nil {
-		s.writeError(w, r, http.StatusBadRequest, perr)
+		s.writeError(w, http.StatusBadRequest, perr)
 		return
 	}
 	admitBegin := time.Now()
 	if !s.admit(len(reqs)) {
-		s.throttle(w, r, len(reqs))
+		s.throttle(w, len(reqs))
 		return
 	}
 	admitWait := time.Since(admitBegin)
@@ -630,7 +629,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	_, raw, err := s.store.Get(key)
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, api.Errorf(api.CodeInternal, "%v", err))
+		s.writeError(w, http.StatusInternalServerError, api.Errorf(api.CodeInternal, "%v", err))
 		return
 	}
 	if raw == nil && !localOnly {
@@ -660,7 +659,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.writeError(w, r, http.StatusNotFound,
+	s.writeError(w, http.StatusNotFound,
 		api.Errorf(api.CodeNotFound, "no run with key %s (POST /v1/runs to submit)", key))
 }
 
@@ -686,18 +685,18 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := readAll(r.Body, maxReplicaBytes)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "read body: %v", err))
+		s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "read body: %v", err))
 		return
 	}
 	stored, err := s.store.PutRaw(raw)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "%v", err))
+		s.writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
 	if stored != key {
 		// The bytes were self-consistent but for a different key than the
 		// URL claims; the store indexed them under their true address.
-		s.writeError(w, r, http.StatusBadRequest,
+		s.writeError(w, http.StatusBadRequest,
 			api.Errorf(api.CodeBadRequest, "body is entry %s, not %s", stored, key))
 		return
 	}
@@ -714,13 +713,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	build, ok := s.figureBuilders()[name]
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound,
+		s.writeError(w, http.StatusNotFound,
 			api.Errorf(api.CodeNotFound, "unknown figure %q (want one of %v)", name, s.figureNames()))
 		return
 	}
 	rows, err := build(r.Context())
 	if r.Context().Err() != nil {
-		s.writeError(w, r, http.StatusServiceUnavailable, api.Errorf(api.CodeUnavailable, "%v", r.Context().Err()))
+		s.writeError(w, http.StatusServiceUnavailable, api.Errorf(api.CodeUnavailable, "%v", r.Context().Err()))
 		return
 	}
 	resp := map[string]any{"schema": api.Schema, "figure": name, "rows": rows}
@@ -831,10 +830,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // not speak. Absent header = current version.
 func (s *Server) checkVersion(w http.ResponseWriter, r *http.Request) bool {
 	switch r.Header.Get(api.Header) {
-	case "", api.Schema, api.SchemaV1:
+	case "", api.Schema:
 		return true
 	}
-	s.writeError(w, r, http.StatusBadRequest,
+	s.writeError(w, http.StatusBadRequest,
 		api.Errorf(api.CodeBadRequest, "unsupported %s %q (this server speaks %s)",
 			api.Header, r.Header.Get(api.Header), api.Schema))
 	return false
@@ -842,12 +841,12 @@ func (s *Server) checkVersion(w http.ResponseWriter, r *http.Request) bool {
 
 // throttle answers an over-limit submission: 429, a Retry-After derived
 // from actual queue pressure, and a typed envelope naming the limit.
-func (s *Server) throttle(w http.ResponseWriter, r *http.Request, n int) {
+func (s *Server) throttle(w http.ResponseWriter, n int) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.load(), n, s.queueLimit)))
 	e := api.Errorf(api.CodeOverloaded, "work queue full")
 	e.Detail = fmt.Sprintf("load %d + submitted %d exceeds queue limit %d; retry after Retry-After seconds",
 		s.load(), n, s.queueLimit)
-	s.writeError(w, r, http.StatusTooManyRequests, e)
+	s.writeError(w, http.StatusTooManyRequests, e)
 }
 
 // retryAfterSeconds scales the retry hint with queue pressure: roughly 10
@@ -878,18 +877,8 @@ func (s *Server) respond(w http.ResponseWriter, status int, v any) {
 	writeJSON(w, status, v)
 }
 
-// writeError writes the typed v2 error envelope — or, for clients pinning
-// hintm-api/v1 via the X-Hintm-Api request header, the deprecated v1
-// {"error": "..."} shape with a Deprecation note.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, e *api.Error) {
-	if r.Header.Get(api.Header) == api.SchemaV1 {
-		w.Header().Set(api.Header, api.SchemaV1)
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("X-Hintm-Api-Note",
-			"hintm-api/v1 error bodies are deprecated; omit the X-Hintm-Api request header for "+api.Schema+" {code,message,detail} envelopes")
-		writeJSON(w, status, map[string]any{"error": e.Error()})
-		return
-	}
+// writeError writes the typed v2 error envelope.
+func (s *Server) writeError(w http.ResponseWriter, status int, e *api.Error) {
 	w.Header().Set(api.Header, api.Schema)
 	writeJSON(w, status, api.ErrorEnvelope{Schema: api.Schema, Error: e})
 }

@@ -26,7 +26,7 @@ import (
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter(obs.MetricServeRequests).Inc()
 	if s.traces == nil {
-		s.writeError(w, r, http.StatusNotFound,
+		s.writeError(w, http.StatusNotFound,
 			api.Errorf(api.CodeNotFound, "tracing is disabled on this node"))
 		return
 	}
@@ -37,7 +37,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if root == "" {
 		var ok bool
 		if root, ok = s.traces.LatestRoot(trace); !ok {
-			s.writeError(w, r, http.StatusNotFound,
+			s.writeError(w, http.StatusNotFound,
 				api.Errorf(api.CodeNotFound, "no trace rooted here for key %s (ask the node that resolved it)", key))
 			return
 		}
@@ -57,7 +57,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound,
+		s.writeError(w, http.StatusNotFound,
 			api.Errorf(api.CodeNotFound, "no spans for key %s root %s", key, root))
 		return
 	}

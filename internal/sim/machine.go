@@ -166,11 +166,6 @@ type Machine struct {
 	fallbackAcquires  uint64
 	lastProgress      uint64
 	lastProgressCycle int64
-
-	// resumed marks a machine forked from a captured prefix (see prefix.go):
-	// globals are already laid out and the main thread already exists, so Run
-	// skips program setup and continues from the boundary instruction.
-	resumed bool
 }
 
 // Profiler observes every data memory access the simulated program performs.
@@ -367,17 +362,12 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	if mainFn == nil {
 		return nil, fmt.Errorf("sim: module has no main")
 	}
-	if !m.resumed {
-		// A machine forked from a prefix (prefix.go) arrives with globals laid
-		// out, the main thread mid-program, and its stack already allocated —
-		// redoing setup would corrupt the captured state.
-		m.prog.LayoutGlobals(m.alloc, m.memory)
+	m.prog.LayoutGlobals(m.alloc, m.memory)
 
-		mtid := m.mainTID()
-		base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
-		m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
-		m.byThread[mtid] = m.ctxs[0]
-	}
+	mtid := m.mainTID()
+	base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
+	m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
+	m.byThread[mtid] = m.ctxs[0]
 
 	maxSteps := m.cfg.MaxSteps
 	if maxSteps <= 0 {

@@ -42,12 +42,9 @@ type Event struct {
 }
 
 // magic identifies the trace format (and its version). TIR2 added the abort
-// reason varint trailing every KindTxAbort record.
+// reason varint trailing every KindTxAbort record; older streams fail the
+// magic check like any other foreign file.
 var magic = [4]byte{'T', 'I', 'R', '2'}
-
-// magicV1 is the pre-abort-reason format, recognized only to reject it with
-// an actionable error.
-var magicV1 = [4]byte{'T', 'I', 'R', '1'}
 
 // Writer serializes events; it implements sim.Profiler and sim.TxObserver,
 // so attaching it via Machine.SetProfiler records the whole run.
@@ -148,10 +145,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: short header: %w", err)
-	}
-	if hdr == magicV1 {
-		return nil, fmt.Errorf("trace: format TIR1 is no longer readable " +
-			"(TIR2 added abort reasons); re-record the trace")
 	}
 	if hdr != magic {
 		return nil, fmt.Errorf("trace: bad magic %q", hdr)

@@ -394,25 +394,6 @@ func (m *Manager) ResetSharing() {
 	}
 }
 
-// Clone returns an independent deep copy of the manager: the page table and
-// its arena, every context's TLB (entries, LRU clocks), and the counters.
-// Translations through either manager never disturb the other, and probe
-// layouts are copied verbatim so eviction-victim selection stays identical —
-// part of the snapshot/fork byte-identity guarantee.
-func (m *Manager) Clone() *Manager {
-	c := &Manager{
-		enabled: m.enabled,
-		costs:   m.costs,
-		pt:      m.pt.Clone(),
-		arena:   append(make([]pageEntry, 0, cap(m.arena)), m.arena...),
-		stats:   m.stats,
-	}
-	for _, t := range m.tlbs {
-		c.tlbs = append(c.tlbs, &tlb{tab: t.tab.Clone(), capacity: t.capacity, tick: t.tick})
-	}
-	return c
-}
-
 // HasTLBEntry reports whether context ctx caches page (tests/diagnostics).
 func (m *Manager) HasTLBEntry(ctx int, page uint64) bool {
 	return m.tlbs[ctx].has(page)
